@@ -15,7 +15,6 @@ the paper's 20-30x.
 import time
 
 import numpy as np
-import pytest
 
 from conftest import print_rows
 from repro.baselines import MlaDC, MlaTransient, SpiceTransient

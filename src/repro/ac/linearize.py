@@ -116,7 +116,7 @@ def tangent_conductances(
     every two-terminal device (element multiplicity folded in) and the
     ``(gm, gds)`` pair of every MOSFET.  :func:`linearize` evaluates
     them once at the DC operating point; the shooting monodromy of
-    :mod:`repro.pss` re-evaluates them along an orbit, point by point,
+    :mod:`repro.pss` evaluates the same element methods along an orbit
     to turn the marched chord map into its exact Jacobian.
     """
     device_g = np.zeros(len(circuit.devices))

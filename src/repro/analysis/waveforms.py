@@ -57,6 +57,20 @@ class TransientResult:
         self._times.append(float(t))
         self._states.append(np.array(state, dtype=float, copy=True))
 
+    def __getstate__(self) -> dict:
+        # Pickle the rows as one (points, n) array: thousands of small
+        # row arrays cost more to pickle than the march that made them,
+        # and results cross a process boundary for every pool job.
+        state = self.__dict__.copy()
+        state["_states"] = self.states
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        rows = state["_states"]
+        if isinstance(rows, np.ndarray):
+            state["_states"] = list(rows)
+        self.__dict__.update(state)
+
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------

@@ -19,8 +19,13 @@ chord conductance
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
+
+#: ``model -> (chord, chord derivative)`` at the origin; see
+#: :meth:`TwoTerminalDevice._origin_limits`.
+_ORIGIN_LIMITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class TwoTerminalDevice:
@@ -46,31 +51,66 @@ class TwoTerminalDevice:
         h = self.fd_step * max(1.0, abs(voltage))
         return (self.current(voltage + h) - self.current(voltage - h)) / (2.0 * h)
 
+    def chord_and_derivative(self, voltage: float, derivative: bool = True):
+        """Return ``(I(V)/V, dG_eq/dV)`` from one current evaluation.
+
+        This is the one home of the chord law: :meth:`chord_conductance`
+        and :meth:`chord_conductance_derivative` read from it, and the
+        scalar SWEC path calls it directly so the chord and the
+        predictor's derivative share a ``current(V)`` call.  A model
+        that changes the chord law overrides this method.
+
+        ``dG_eq/dV = (V dI/dV - I) / V^2`` is paper eq. (8), used by
+        the first-order Taylor predictor of eq. (5); with
+        ``derivative=False`` it is not evaluated and ``None`` is
+        returned in its place.  Inside ``chord_epsilon`` both values are
+        their limits at the origin (see :meth:`_origin_limits`).
+        """
+        if abs(voltage) < self.chord_epsilon:
+            chord, slope = self._origin_limits()
+            return chord, (slope if derivative else None)
+        i = self.current(voltage)
+        if not derivative:
+            return i / voltage, None
+        g = self.differential_conductance(voltage)
+        return i / voltage, (voltage * g - i) / (voltage * voltage)
+
+    def _origin_limits(self) -> tuple[float, float]:
+        """Chord and chord derivative at ``V -> 0``.
+
+        The chord tends to the differential conductance at the origin;
+        the quotient rule of the derivative degenerates there and
+        L'Hopital gives ``I''(0) / 2``, estimated by finite
+        differences.  Both are evaluated once per model (models are
+        parameter holders that do not change once simulated) and kept
+        in a side table rather than on the instance, whose attribute
+        dict is its job-cache fingerprint (:mod:`repro.service.hashing`).
+        """
+        try:
+            return _ORIGIN_LIMITS[self]
+        except (KeyError, TypeError):
+            pass
+        h = self.fd_step
+        second = (self.current(h) - 2.0 * self.current(0.0)
+                  + self.current(-h)) / (h * h)
+        limits = (self.differential_conductance(0.0), 0.5 * second)
+        try:
+            _ORIGIN_LIMITS[self] = limits
+        except TypeError:  # unhashable or not weak-referenceable
+            pass
+        return limits
+
     def chord_conductance(self, voltage: float) -> float:
         """Return the SWEC equivalent conductance ``I(V)/V``.
 
         At ``V -> 0`` the chord tends to the differential conductance at the
         origin, which is the value returned inside ``chord_epsilon``.
         """
-        if abs(voltage) < self.chord_epsilon:
-            return self.differential_conductance(0.0)
-        return self.current(voltage) / voltage
+        return self.chord_and_derivative(voltage, derivative=False)[0]
 
     def chord_conductance_derivative(self, voltage: float) -> float:
-        """Return ``dG_eq/dV = (V dI/dV - I) / V^2`` (paper eq. 8).
-
-        Used by the first-order Taylor predictor of eq. (5).  Near the
-        origin the quotient rule degenerates; L'Hopital gives
-        ``I''(0) / 2``, estimated by finite differences.
-        """
-        if abs(voltage) < self.chord_epsilon:
-            h = self.fd_step
-            second = (self.current(h) - 2.0 * self.current(0.0)
-                      + self.current(-h)) / (h * h)
-            return 0.5 * second
-        i = self.current(voltage)
-        g = self.differential_conductance(voltage)
-        return (voltage * g - i) / (voltage * voltage)
+        """Return ``dG_eq/dV = (V dI/dV - I) / V^2`` (paper eq. 8)."""
+        return self.chord_and_derivative(voltage)[1]
 
     def current_many(self, voltages) -> np.ndarray:
         """Vectorized :meth:`current` over an array of branch voltages.
@@ -110,7 +150,7 @@ class TwoTerminalDevice:
         safe = np.where(small, 1.0, v)
         g = self.current_many(safe) / safe
         if small.any():
-            g = np.where(small, self.differential_conductance(0.0), g)
+            g = np.where(small, self._origin_limits()[0], g)
         return g
 
     def chord_conductance_derivative_many(self, voltages) -> np.ndarray:
@@ -122,10 +162,8 @@ class TwoTerminalDevice:
         g = self.differential_conductance_many(safe)
         derivative = (safe * g - i) / (safe * safe)
         if small.any():
-            h = self.fd_step
-            second = (self.current(h) - 2.0 * self.current(0.0)
-                      + self.current(-h)) / (h * h)
-            derivative = np.where(small, 0.5 * second, derivative)
+            derivative = np.where(small, self._origin_limits()[1],
+                                  derivative)
         return derivative
 
     # ------------------------------------------------------------------

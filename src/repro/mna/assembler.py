@@ -87,15 +87,16 @@ class MnaSystem:
         """Stamp conductance *g* between row/col indices *i* and *j*.
 
         Either index may be ``-1`` (ground), in which case only the
-        diagonal of the other survives.
+        diagonal of the other survives.  *matrix* may be a stack
+        ``(..., n, n)``, with *g* an array over its leading axes.
         """
         if i >= 0:
-            matrix[i, i] += g
+            matrix[..., i, i] += g
         if j >= 0:
-            matrix[j, j] += g
+            matrix[..., j, j] += g
         if i >= 0 and j >= 0:
-            matrix[i, j] -= g
-            matrix[j, i] -= g
+            matrix[..., i, j] -= g
+            matrix[..., j, i] -= g
 
     @staticmethod
     def stamp_current(vector: np.ndarray, i: int, j: int,
@@ -115,14 +116,15 @@ class MnaSystem:
                                out_n: int, ctrl_p: int, ctrl_n: int,
                                gm: float) -> None:
         """Stamp a VCCS: current ``gm * (V_ctrlp - V_ctrln)`` into
-        ``out_p -> out_n`` (used for the MOSFET ``gm`` in Newton mode)."""
+        ``out_p -> out_n`` (used for the MOSFET ``gm`` in Newton mode).
+        Stacks work as in :meth:`stamp_conductance`."""
         for row, sign_r in ((out_p, 1.0), (out_n, -1.0)):
             if row < 0:
                 continue
             for col, sign_c in ((ctrl_p, 1.0), (ctrl_n, -1.0)):
                 if col < 0:
                     continue
-                matrix[row, col] += gm * sign_r * sign_c
+                matrix[..., row, col] += gm * sign_r * sign_c
 
     # ------------------------------------------------------------------
     # Matrix builders

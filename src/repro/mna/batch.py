@@ -1,13 +1,15 @@
 """Index-based batch assembly and chunked batched dense solves.
 
-Two pieces shared by every stacked-system path in the repo:
+Pieces shared by every stacked-system path in the repo:
 
 :class:`ConductanceStamper`
     Precomputed scatter indices for two-terminal conductance stamps.
     Built once per analysis from ``(i, j)`` terminal index pairs, it
     stamps a whole column of conductances into a dense ``(n, n)``
     matrix — or a ``(K, n, n)`` stack, one conductance row per
-    instance — without a Python loop over devices.
+    instance — without a Python loop over devices;
+    :func:`chord_columns` lays out the device and MOSFET chords it
+    takes.
 
 :func:`solve_stack`
     Chunked batched ``numpy.linalg.solve`` over a ``(B, n, n)`` stack
@@ -82,6 +84,24 @@ def solve_stack(matrices, rhs, *, chunk_entries: int | None = None,
             raise SingularMatrixError(
                 f"singular system in {context}: {exc}") from exc
     return out[:, :, 0] if squeeze else out
+
+
+def chord_columns(device_g, mosfet_g) -> np.ndarray:
+    """Two-terminal device chords, then MOSFET chords, along the last
+    axis: the column order of every :class:`ConductanceStamper` built
+    from device and MOSFET terminals.
+
+    An empty block is dropped instead of concatenated, which skips a
+    copy on the common no-MOSFET circuits and lets a 1-D empty block
+    pair with a batched one.
+    """
+    device_g = np.asarray(device_g, dtype=float)
+    mosfet_g = np.asarray(mosfet_g, dtype=float)
+    if not mosfet_g.shape[-1]:
+        return device_g
+    if not device_g.shape[-1]:
+        return mosfet_g
+    return np.concatenate((device_g, mosfet_g), axis=-1)
 
 
 class ConductanceStamper:

@@ -1,19 +1,26 @@
 """Dense linear solves with flop accounting.
 
 All paper circuits are tiny (a handful of nodes), so the default path is
-dense LAPACK via scipy.  A :class:`LinearSolver` caches the LU
-factorization; engines that keep the matrix fixed across several solves
-(e.g. Newton with a frozen Jacobian, or linear circuits with a constant
-step) pay the factorization once, and the flop counter reflects that.
+dense LAPACK ``getrf``/``getrs`` through :mod:`scipy.linalg.lapack`.  A
+:class:`LinearSolver` caches the LU factorization; engines that keep the
+matrix fixed across several solves (e.g. Newton with a frozen Jacobian,
+or linear circuits with a constant step) pay the factorization once, and
+the flop counter reflects that.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import lapack
 
 from repro.errors import SingularMatrixError
 from repro.perf.flops import FlopCounter
+
+# The LAPACK routines ``scipy.linalg.lu_factor``/``lu_solve`` wrap for
+# float64, called directly: same factors and solutions, without the
+# wrappers' per-call validation and dtype dispatch.
+_getrf = lapack.dgetrf
+_getrs = lapack.dgetrs
 
 
 def solve_dense(matrix: np.ndarray, rhs: np.ndarray,
@@ -45,18 +52,22 @@ class LinearSolver:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise SingularMatrixError(
                 f"expected a square matrix, got shape {matrix.shape}")
-        if not np.all(np.isfinite(matrix)):
+        if not np.isfinite(matrix).all():
             raise SingularMatrixError("matrix contains non-finite entries")
         self._n = matrix.shape[0]
-        try:
-            self._lu = linalg.lu_factor(matrix, check_finite=False)
-        except linalg.LinAlgError as exc:  # pragma: no cover - scipy raises
-            raise SingularMatrixError(str(exc)) from exc
-        # LAPACK getrf signals exact singularity through U's diagonal.
-        diag = np.abs(np.diag(self._lu[0]))
-        if np.any(diag == 0.0) or not np.all(np.isfinite(diag)):
-            raise SingularMatrixError(
-                "MNA matrix is singular (floating node or short loop?)")
+        if self._n == 0:
+            self._lu = (matrix.copy(), np.zeros(0, dtype=np.int32))
+        else:
+            lu, piv, info = _getrf(matrix)
+            if info < 0:  # pragma: no cover - a bad argument is a bug
+                raise SingularMatrixError(
+                    f"illegal value in argument {-info} of getrf")
+            # getrf flags an exactly zero pivot through info > 0; U's
+            # diagonal may also have overflowed.
+            if info > 0 or not np.isfinite(lu.diagonal()).all():
+                raise SingularMatrixError(
+                    "MNA matrix is singular (floating node or short loop?)")
+            self._lu = (lu, piv)
         if self.flops is not None:
             self.flops.count_factorization(self._n)
 
@@ -68,10 +79,16 @@ class LinearSolver:
         if rhs.shape[0] != self._n:
             raise SingularMatrixError(
                 f"rhs length {rhs.shape[0]} does not match matrix size {self._n}")
-        solution = linalg.lu_solve(self._lu, rhs, check_finite=False)
+        if self._n == 0:
+            solution = rhs.copy()
+        else:
+            solution, info = _getrs(*self._lu, rhs)
+            if info != 0:  # pragma: no cover - a bad argument is a bug
+                raise SingularMatrixError(
+                    f"illegal value in argument {-info} of getrs")
         if self.flops is not None:
             self.flops.count_solve(self._n)
-        if not np.all(np.isfinite(solution)):
+        if not np.isfinite(solution).all():
             raise SingularMatrixError("solution contains non-finite entries")
         return solution
 

@@ -18,8 +18,8 @@ so ``dx_{n+1}/dx_n = A_n^{-1} (C/h - D_n)`` where ``D_n`` collects the
 state dependence of the chord stamps: a two-terminal device stamped
 ``g_{ch}(v_n) w_{n+1}`` contributes ``g_{ch}'(v_n) w_{n+1}``, and the
 chord/tangent identity ``g_{ch}'(v)\\,v = dI/dV - g_{ch}`` ties that
-correction to the AC linearization machinery
-(:func:`repro.ac.linearize.tangent_conductances`).  The result is a
+correction to the element tangents ``dI/dV`` (and MOSFET ``gm``/``gds``)
+that the AC linearization stamps.  The result is a
 Jacobian consistent with the *discretized* map to machine precision,
 which is what gives quadratic convergence — typically 3 iterations on
 the RTD relaxation oscillator.
@@ -73,6 +73,11 @@ __all__ = [
 #: correction (the chord tends to the tangent there, so the correction
 #: term ``(dI/dV - g_ch)/v`` is a removable 0/0).
 _V_EPS = 1e-12
+
+#: Size cap of one ``(steps, n, n)`` stack in the monodromy assembly:
+#: a whole period for small circuits, a few steps for large meshes.
+_STACK_BYTES = 1 << 20
+
 
 
 @dataclass
@@ -363,63 +368,81 @@ class ShootingPSS:
         is exactly the matrix the march factored at step ``n`` (base
         stamps + clamped chords + ``C/h``) and ``D_n`` holds the chord
         derivatives, rewritten through the tangent identity
-        ``g_ch'(v) v = dI/dV - g_ch`` so the correction reuses the AC
-        linearization's per-element tangents.  Also returns the
-        endpoint state velocity ``f_T`` (the autonomous period
-        column).
-        """
-        from repro.ac.linearize import tangent_conductances
+        ``g_ch'(v) v = dI/dV - g_ch`` so the correction uses the
+        per-element tangents ``dI/dV`` of the AC linearization.  Also
+        returns the endpoint state velocity ``f_T`` (the autonomous
+        period column).
 
-        system, lin = self.system, self.linearization
+        ``A_n`` and ``C/h - D_n`` are assembled a chunk of steps at a
+        time as ``(steps, n, n)`` stacks, with the same elementwise
+        arithmetic and stamp order as one step at a time; only the
+        chain itself, one LAPACK ``gesv`` per step, stays sequential.
+        """
+        from scipy.linalg import lapack
+
+        system, lin, circuit = self.system, self.linearization, self.circuit
         n = system.size
         monodromy = np.eye(n)
         device_terminals = system.device_terminals()
         mosfet_terminals = system.mosfet_terminals()
-        for i in range(len(grid) - 1):
-            h = grid[i + 1] - grid[i]
-            xn, xn1 = states[i], states[i + 1]
-            c_over_h = self._capacitance / h
-            a = self._base + c_over_h
-            device_chords = lin.device_conductances(xn)
-            mosfet_chords = lin.mosfet_conductances(xn)
-            lin.stamp(a, device_chords, mosfet_chords)
-            b = c_over_h.copy()
-            device_tangents, mosfet_partials = tangent_conductances(
-                self.circuit, system, xn)
-            for k, (anode, cathode) in enumerate(device_terminals):
-                g_ch = device_chords[k]
-                if g_ch <= 0.0:
-                    continue
-                vn = (xn[anode] if anode >= 0 else 0.0) \
-                    - (xn[cathode] if cathode >= 0 else 0.0)
-                if abs(vn) <= _V_EPS:
-                    continue
-                w = (xn1[anode] if anode >= 0 else 0.0) \
-                    - (xn1[cathode] if cathode >= 0 else 0.0)
-                system.stamp_two_terminal(
-                    b, anode, cathode,
-                    -(device_tangents[k] - g_ch) * (w / vn))
-            for k, (drain, gate, source) in enumerate(mosfet_terminals):
-                c_ch = mosfet_chords[k]
-                if c_ch <= 0.0:
-                    continue
-                vds = (xn[drain] if drain >= 0 else 0.0) \
-                    - (xn[source] if source >= 0 else 0.0)
-                if abs(vds) <= _V_EPS:
-                    continue
-                w = (xn1[drain] if drain >= 0 else 0.0) \
-                    - (xn1[source] if source >= 0 else 0.0)
-                gm, gds = mosfet_partials[k]
-                scale = w / vds
-                system.stamp_two_terminal(
-                    b, drain, source, -(gds - c_ch) * scale)
-                system.stamp_transconductance(
-                    b, drain, source, gate, source, -gm * scale)
-            monodromy = np.linalg.solve(a, b @ monodromy)
-        # Uniform, backend-independent accounting: one factorization
-        # plus an n-column solve per step, regardless of how numpy
-        # dispatches the chained solve.
+        # Ground (index -1) reads the trailing zero column.
+        padded = np.column_stack([states, np.zeros(len(states))])
         steps = len(grid) - 1
+        chunk = max(1, _STACK_BYTES // (8 * max(n, 1) ** 2))
+        for start in range(0, steps, chunk):
+            stop = min(start + chunk, steps)
+            h = grid[start + 1:stop + 1] - grid[start:stop]
+            b = self._capacitance / h[:, None, None]
+            a = self._base + b
+            xs, xs_next = padded[start:stop], padded[start + 1:stop + 1]
+            device_chords = np.array(
+                [lin.device_conductances(x) for x in states[start:stop]]
+            ).reshape(len(h), -1)
+            mosfet_chords = np.array(
+                [lin.mosfet_conductances(x) for x in states[start:stop]]
+            ).reshape(len(h), -1)
+            lin.stamp(a, device_chords, mosfet_chords)
+            # The chord-derivative corrections, zero at the steps
+            # they skip.
+            for k, (anode, cathode) in enumerate(device_terminals):
+                g_ch = device_chords[:, k]
+                vn = xs[:, anode] - xs[:, cathode]
+                live = (g_ch > 0.0) & (np.abs(vn) > _V_EPS)
+                if not live.any():
+                    continue
+                device = circuit.devices[k]
+                tangent = np.array([device.differential_conductance(v)
+                                    for v in vn[live].tolist()])
+                w = xs_next[live, anode] - xs_next[live, cathode]
+                correction = np.zeros(len(h))
+                correction[live] = -(tangent - g_ch[live]) * (w / vn[live])
+                system.stamp_two_terminal(b, anode, cathode, correction)
+            for k, (drain, gate, source) in enumerate(mosfet_terminals):
+                c_ch = mosfet_chords[:, k]
+                vds = xs[:, drain] - xs[:, source]
+                live = (c_ch > 0.0) & (np.abs(vds) > _V_EPS)
+                if not live.any():
+                    continue
+                mosfet = circuit.mosfets[k]
+                vgs = xs[live, gate] - xs[live, source]
+                partials = np.array([
+                    mosfet.partials(*pair)
+                    for pair in zip(vgs.tolist(), vds[live].tolist())])
+                w = xs_next[live, drain] - xs_next[live, source]
+                scale = w / vds[live]
+                gds_correction = np.zeros(len(h))
+                gds_correction[live] = -(partials[:, 1] - c_ch[live]) * scale
+                gm_correction = np.zeros(len(h))
+                gm_correction[live] = -partials[:, 0] * scale
+                system.stamp_two_terminal(b, drain, source, gds_correction)
+                system.stamp_transconductance(b, drain, source, gate, source,
+                                              gm_correction)
+            for a_n, b_n in zip(a, b):
+                _, _, monodromy, info = lapack.dgesv(a_n, b_n @ monodromy)
+                if info > 0:
+                    raise np.linalg.LinAlgError("Singular matrix")
+        # Uniform, backend-independent accounting: one factorization
+        # plus an n-column solve per step.
         flops.count_factorization(n, count=steps)
         flops.count_solve(n, count=steps * n)
         velocity = (states[-1] - states[-2]) / (grid[-1] - grid[-2])

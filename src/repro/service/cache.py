@@ -77,10 +77,8 @@ def run_batch_cached(runner, jobs, store: ResultStore) -> BatchReport:
     jobs = list(jobs)
     start = time.perf_counter()
     keys = batch_job_keys(jobs, runner.seed)
-    seeds = np.random.SeedSequence(runner.seed).spawn(max(len(jobs), 1))
     results: list[JobResult | None] = [None] * len(jobs)
     miss_jobs = []
-    miss_seeds = []
     miss_indices = []
     for index, (job, key) in enumerate(zip(jobs, keys)):
         entry = store.get(key) if key is not None else None
@@ -96,9 +94,12 @@ def run_batch_cached(runner, jobs, store: ResultStore) -> BatchReport:
             )
         else:
             miss_jobs.append(job)
-            miss_seeds.append(seeds[index])
             miss_indices.append(index)
     if miss_jobs:
+        # Job *i* keeps its positional seed, spawned only when a miss
+        # needs one (an all-hit batch is a handful of file reads).
+        seeds = np.random.SeedSequence(runner.seed).spawn(len(jobs))
+        miss_seeds = [seeds[index] for index in miss_indices]
         # Publish each miss the moment its result is final rather than
         # after the whole batch: an interrupted run leaves its completed
         # jobs checkpointed in the store, so the next run (or

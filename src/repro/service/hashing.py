@@ -30,9 +30,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import fields, is_dataclass
-from typing import Any, Mapping
+from typing import Any
 
+import numpy as np
+
+from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
 
 __all__ = [
@@ -108,6 +112,18 @@ def _canonical_object(value: Any) -> dict:
     return record
 
 
+#: Dataclass type -> its field names in declaration order, filled on
+#: first use (``dataclasses.fields`` rebuilds the tuple on every call).
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _field_names(cls: type) -> tuple[str, ...]:
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(spec.name for spec in fields(cls))
+    return names
+
+
 def canonical_value(value: Any) -> Any:
     """Reduce *value* to a JSON-encodable canonical form.
 
@@ -116,14 +132,22 @@ def canonical_value(value: Any) -> Any:
     circuits, waveforms and device models.  Anything callable — or
     otherwise opaque — raises :class:`UncacheableJobError`.
     """
-    import numpy as np
-
-    from repro.circuit.netlist import Circuit
-
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
         return float(value)
+    # The JSON-native containers that make up most of a job spec; none
+    # of them can be a numpy value or a circuit.
+    if isinstance(value, (list, tuple)):
+        return [canonical_value(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): canonical_value(item) for key, item in value.items()}
+    return _canonical_other(value)
+
+
+def _canonical_other(value: Any) -> Any:
+    """:func:`canonical_value` of anything but a scalar, list, tuple or
+    dict."""
     if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, np.ndarray):
@@ -132,15 +156,13 @@ def canonical_value(value: Any) -> Any:
         return _canonical_circuit(value)
     if isinstance(value, Mapping):
         return {str(key): canonical_value(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [canonical_value(item) for item in value]
     if isinstance(value, (set, frozenset)):
         return sorted(canonical_value(item) for item in value)
     if is_dataclass(value) and not isinstance(value, type):
         cls = type(value)
         record = {"__class__": f"{cls.__module__}.{cls.__qualname__}"}
-        for spec in fields(value):
-            record[spec.name] = canonical_value(getattr(value, spec.name))
+        for name in _field_names(cls):
+            record[name] = canonical_value(getattr(value, name))
         return record
     if callable(value):
         raise UncacheableJobError(
@@ -205,14 +227,14 @@ def canonical_job(job) -> dict:
     cls = type(job)
     record: dict[str, Any] = {"__job__": f"{cls.__module__}.{cls.__qualname__}"}
     has_design = hasattr(job, "netlist") or hasattr(job, "circuit")
-    for spec in fields(job):
-        if has_design and spec.name in _DESIGN_FIELDS:
+    for name in _field_names(cls):
+        if has_design and name in _DESIGN_FIELDS:
             continue
-        value = getattr(job, spec.name)
-        if is_dataclass(value) and hasattr(value, "run"):
-            record[spec.name] = canonical_job(value)
+        value = getattr(job, name)
+        if hasattr(value, "run") and is_dataclass(value):
+            record[name] = canonical_job(value)
         else:
-            record[spec.name] = canonical_value(value)
+            record[name] = canonical_value(value)
     if has_design:
         record["design"] = _canonical_design(job)
     return record

@@ -204,9 +204,15 @@ class ResultStore:
 
     # -- paths ----------------------------------------------------------
 
+    def _stem(self, key: str) -> str:
+        """``<objects>/<key[:2]>/<key>``, the entry's two files minus
+        their suffix.  A plain string: :meth:`get`, the cache-hit path,
+        opens it directly rather than paying pathlib's per-join cost."""
+        return os.path.join(str(self.objects), key[:2], key)
+
     def _paths(self, key: str) -> tuple[Path, Path]:
-        shard = self.objects / key[:2]
-        return shard / f"{key}.json", shard / f"{key}.pkl"
+        stem = self._stem(key)
+        return Path(stem + ".json"), Path(stem + ".pkl")
 
     # -- read -----------------------------------------------------------
 
@@ -223,9 +229,10 @@ class ResultStore:
 
     def get(self, key: str) -> CachedResult | None:
         """Fetch an entry; any corruption reads as a miss, never raises."""
-        meta_path, payload_path = self._paths(key)
+        stem = self._stem(key)
         try:
-            meta = json.loads(meta_path.read_text())
+            with open(stem + ".json", "rb") as handle:
+                meta = json.loads(handle.read())
         except (OSError, ValueError):
             self.misses += 1
             return None
@@ -233,7 +240,8 @@ class ResultStore:
             self.misses += 1
             return None
         try:
-            payload = payload_path.read_bytes()
+            with open(stem + ".pkl", "rb") as handle:
+                payload = handle.read()
         except OSError:
             self.misses += 1
             return None

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.circuit.netlist import Circuit
 from repro.mna.assembler import MnaSystem
-from repro.mna.batch import ConductanceStamper
+from repro.mna.batch import ConductanceStamper, chord_columns
 from repro.perf.flops import FlopCounter
 
 
@@ -73,6 +73,18 @@ class SwecLinearization:
         self._drain_idx, self._drain_mask = _gather_arrays(mosfets[:, 0])
         self._gate_idx, self._gate_mask = _gather_arrays(mosfets[:, 1])
         self._source_idx, self._source_mask = _gather_arrays(mosfets[:, 2])
+        # The scalar chord path reads branch voltages out of a Python
+        # list (``state.tolist()`` plus a trailing 0.0 that ground's
+        # index -1 lands on): for a handful of devices that is several
+        # times cheaper than the masked numpy gathers below.
+        self._devices = [
+            (anode, cathode, device.model, device.multiplicity)
+            for device, (anode, cathode) in zip(self.circuit.devices,
+                                                self._device_terminals)]
+        self._mosfets = [
+            (drain, gate, source, mosfet)
+            for mosfet, (drain, gate, source) in zip(self.circuit.mosfets,
+                                                     self._mosfet_terminals)]
         # MOSFETs stamp their chord across drain-source, exactly like a
         # two-terminal device (paper eq. 3).
         self._stamper = ConductanceStamper(
@@ -121,42 +133,51 @@ class SwecLinearization:
 
         ``prev_state``/``h_prev`` provide the finite-difference ``dV/dt``
         of eq. (9); ``h_next`` is the step the prediction targets.
+
+        One :meth:`~repro.devices.base.TwoTerminalDevice.chord_and_derivative`
+        call per device yields the chord and, when predicting, its
+        derivative from a single ``current(v)`` evaluation.
         """
-        voltages = self.device_voltages(state)
-        conductances = np.zeros_like(voltages)
-        predict = (self.use_predictor and prev_state is not None
-                   and h_prev and h_next)
-        prev_voltages = (self.device_voltages(prev_state)
-                         if predict else None)
-        for k, device in enumerate(self.circuit.devices):
-            v = voltages[k]
-            g = device.chord_conductance(v)
-            if flops is not None:
-                # The chord is one current evaluation plus a division —
-                # cheaper than the Jacobian's current+derivative pair.
-                flops.count_device_eval("rtd_current")
+        values = np.asarray(state, dtype=float).tolist()
+        values.append(0.0)
+        predict = bool(self.use_predictor and prev_state is not None
+                       and h_prev and h_next)
+        if predict:
+            previous = np.asarray(prev_state, dtype=float).tolist()
+            previous.append(0.0)
+        conductances = []
+        for anode, cathode, model, m in self._devices:
+            v = values[anode] - values[cathode]
+            chord, derivative = model.chord_and_derivative(v, predict)
+            g = m * chord
             if predict:
-                dv_dt = (v - prev_voltages[k]) / h_prev
-                dg_dv = device.chord_conductance_derivative(v)
-                g = g + 0.5 * h_next * dg_dv * dv_dt
-                if flops is not None:
-                    flops.count_device_eval("rtd_conductance")
+                dv_dt = (v - (previous[anode] - previous[cathode])) / h_prev
+                g = g + 0.5 * h_next * (m * derivative) * dv_dt
             # The chord of a passive device is mathematically >= 0; the
             # predictor extrapolation may overshoot slightly, so clamp.
-            conductances[k] = max(g, 0.0)
-        return conductances
+            conductances.append(max(g, 0.0))
+        if flops is not None and conductances:
+            # The chord is one current evaluation plus a division —
+            # cheaper than the Jacobian's current+derivative pair.
+            flops.count_device_eval("rtd_current", count=len(conductances))
+            if predict:
+                flops.count_device_eval("rtd_conductance",
+                                        count=len(conductances))
+        return np.array(conductances, dtype=float)
 
     def mosfet_conductances(self, state: np.ndarray,
                             flops: FlopCounter | None = None) -> np.ndarray:
         """Chord conductance ``Ids/Vds`` per MOSFET (paper eq. 3)."""
-        voltages = self.mosfet_voltages(state)
-        conductances = np.zeros(len(self.circuit.mosfets))
-        for k, mosfet in enumerate(self.circuit.mosfets):
-            vgs, vds = voltages[k]
-            conductances[k] = max(mosfet.chord_conductance(vgs, vds), 0.0)
-            if flops is not None:
-                flops.count_device_eval("mosfet")
-        return conductances
+        values = np.asarray(state, dtype=float).tolist()
+        values.append(0.0)
+        conductances = []
+        for drain, gate, source, mosfet in self._mosfets:
+            vs = values[source]
+            g = mosfet.chord_conductance(values[gate] - vs, values[drain] - vs)
+            conductances.append(max(g, 0.0))
+        if flops is not None and conductances:
+            flops.count_device_eval("mosfet", count=len(conductances))
+        return np.array(conductances, dtype=float)
 
     # ------------------------------------------------------------------
     # Stamping
@@ -169,16 +190,7 @@ class SwecLinearization:
         *matrix* is ``(n, n)`` or a C-contiguous ``(K, n, n)`` stack;
         the conductance arrays carry the matching leading batch axis.
         """
-        device_g = np.asarray(device_g, dtype=float)
-        mosfet_g = np.asarray(mosfet_g, dtype=float)
-        if device_g.ndim != mosfet_g.ndim:
-            # Align an empty column block with the batched one.
-            if device_g.size == 0:
-                device_g = np.zeros((*mosfet_g.shape[:-1], 0))
-            elif mosfet_g.size == 0:
-                mosfet_g = np.zeros((*device_g.shape[:-1], 0))
-        self._stamper.stamp(
-            matrix, np.concatenate((device_g, mosfet_g), axis=-1))
+        self._stamper.stamp(matrix, chord_columns(device_g, mosfet_g))
 
     def conductance_matrix(self, base: np.ndarray, state: np.ndarray,
                            prev_state: np.ndarray | None = None,

@@ -19,12 +19,14 @@ steps across a source breakpoint (so pulse edges are honoured exactly).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.circuit.netlist import Circuit
+from repro.circuit.sources import DC
 from repro.mna.assembler import MnaSystem
 
 
@@ -77,9 +79,17 @@ class AdaptiveStepController:
         # to node rows (branch rows carry -L and are excluded).
         c_matrix = system.capacitance_matrix()
         self._node_capacitance = np.diag(c_matrix)[:system.num_nodes].copy()
-        self._sources = list(circuit.voltage_sources) + list(
-            circuit.current_sources)
+        self._set_sources(list(circuit.voltage_sources)
+                          + list(circuit.current_sources))
+
+    def _set_sources(self, sources) -> None:
+        self._sources = sources
+        # A DC source has zero slope: it never bounds the step.
+        self._sloped = [source.waveform for source in sources
+                        if type(source.waveform) is not DC]
         self._breakpoints = self._collect_breakpoints()
+        self._table_stop: float | None = None
+        self._table: list[float] = []
 
     def _collect_breakpoints(self) -> list[float]:
         points: set[float] = set()
@@ -87,6 +97,19 @@ class AdaptiveStepController:
             waveform = source.waveform
             points.update(waveform.breakpoints())
         return sorted(points)
+
+    def _breakpoint_table(self, t_stop: float) -> list[float]:
+        """Sorted static breakpoints plus every periodic edge up to
+        *t_stop*, unrolled once per horizon."""
+        if self._table_stop != t_stop:
+            points = list(self._breakpoints)
+            for source in self._sources:
+                folder = getattr(source.waveform, "periodic_breakpoints", None)
+                if folder is not None:
+                    points.extend(folder(t_stop))
+            self._table = sorted(points)
+            self._table_stop = t_stop
+        return self._table
 
     # ------------------------------------------------------------------
     # Constraint evaluation
@@ -96,11 +119,11 @@ class AdaptiveStepController:
         """``min_i 3 eps |V_i0| / alpha_i`` over active sources (eq. 11)."""
         eps = self.options.epsilon
         bound = math.inf
-        for source in self._sources:
-            slope = abs(source.slope(t))
+        for waveform in self._sloped:
+            slope = abs(waveform.slope(t))
             if slope == 0.0:
                 continue
-            level = max(abs(source.value(t)), self.options.voltage_floor)
+            level = max(abs(waveform.value(t)), self.options.voltage_floor)
             bound = min(bound, 3.0 * eps * level / slope)
         return bound
 
@@ -124,19 +147,12 @@ class AdaptiveStepController:
         """Shrink *h* so the step lands exactly on the next breakpoint or
         on ``t_stop``, whichever comes first."""
         limit = t_stop - t
-        for point in self._breakpoints:
-            if t < point < t + h:
-                limit = min(limit, point - t)
-                break
-        # Periodic pulse edges are not in the static list; probe them.
-        for source in self._sources:
-            waveform = source.waveform
-            folder = getattr(waveform, "periodic_breakpoints", None)
-            if folder is None:
-                continue
-            for point in folder(min(t + h, t_stop)):
-                if t < point < t + h:
-                    limit = min(limit, point - t)
+        # The first breakpoint after t is the only one that can bound
+        # the step: ``point - t`` grows with the point.
+        table = self._breakpoint_table(t_stop)
+        k = bisect.bisect_right(table, t)
+        if k < len(table) and table[k] < t + h:
+            limit = min(limit, table[k] - t)
         return min(h, max(limit, 0.0))
 
     # ------------------------------------------------------------------
@@ -198,8 +214,7 @@ class EnsembleStepController(AdaptiveStepController):
                     continue
                 seen.add(key)
                 sources.append(source)
-        self._sources = sources
-        self._breakpoints = self._collect_breakpoints()
+        self._set_sources(sources)
         caps: dict[int, np.ndarray] = {}
         rows = []
         for system in systems:
@@ -216,6 +231,11 @@ class EnsembleStepController(AdaptiveStepController):
         self._rc_instances, self._rc_nodes = np.nonzero(c > 0.0)
         self._rc_scaled = (self.options.epsilon
                            * c[self._rc_instances, self._rc_nodes])
+        # A single instance reads its few diagonal entries from a list:
+        # the same quotients and min, without the numpy call overhead.
+        self._rc_pairs = (list(zip(self._rc_nodes.tolist(),
+                                   self._rc_scaled.tolist()))
+                          if len(systems) == 1 else None)
 
     def node_rc_bound_stack(self, diagonal_stack) -> float:
         """``min_{k,j} eps C_j^k / G_jj^k`` over the whole ensemble.
@@ -223,6 +243,14 @@ class EnsembleStepController(AdaptiveStepController):
         *diagonal_stack* is the ``(K, n)`` stamped-``G`` diagonal
         (only the leading ``num_nodes`` columns are consulted).
         """
+        if self._rc_pairs is not None:
+            diag = np.asarray(diagonal_stack)[0].tolist()
+            bound = math.inf
+            for node, scaled in self._rc_pairs:
+                g = diag[node]
+                if g > 0.0:
+                    bound = min(bound, scaled / g)
+            return bound
         if self._rc_nodes.size == 0:
             return math.inf
         diag = np.asarray(diagonal_stack)[self._rc_instances,

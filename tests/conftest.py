@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -55,22 +56,69 @@ def _round_significant(value, digits: int):
     return value
 
 
+def _golden_mismatch(fresh, stored, digits: int, abs_tol: dict,
+                     where: str = "payload", floor: float = 0.0):
+    """Where *fresh* leaves the snapshot *stored*, or None.
+
+    Floats may differ from the snapshot by one unit in its last
+    significant digit (of *digits*); beneath a dict key named in
+    *abs_tol* they may instead differ by that key's absolute floor,
+    whichever is larger.  Everything else must be equal.
+    """
+    if isinstance(fresh, float) and isinstance(stored, float):
+        unit = 0.0 if stored == 0.0 else \
+            10.0 ** (math.floor(math.log10(abs(stored))) - digits + 1)
+        if abs(fresh - stored) <= max(unit, floor):
+            return None
+    elif isinstance(fresh, dict) and isinstance(stored, dict):
+        if fresh.keys() != stored.keys():
+            return f"{where}: keys {sorted(fresh)} != {sorted(stored)}"
+        for key in fresh:
+            problem = _golden_mismatch(
+                fresh[key], stored[key], digits, abs_tol,
+                f"{where}[{key!r}]", abs_tol.get(key, floor))
+            if problem:
+                return problem
+        return None
+    elif isinstance(fresh, list) and isinstance(stored, list) \
+            and len(fresh) == len(stored):
+        for k, (a, b) in enumerate(zip(fresh, stored)):
+            problem = _golden_mismatch(a, b, digits, abs_tol,
+                                       f"{where}[{k}]", floor)
+            if problem:
+                return problem
+        return None
+    elif fresh == stored:
+        return None
+    return f"{where}: {fresh!r} != snapshot {stored!r}"
+
+
 @pytest.fixture
 def golden_json(update_golden):
     """Compare a JSON-serializable payload against a golden snapshot.
 
     Returns ``check(path, payload, significant_digits=None,
-    text=None)``: with ``--update-golden`` the snapshot at *path* is
-    rewritten first (from *text* when given, so a corpus can keep its
-    own rendering, else ``json.dumps(payload, indent=2)``); then the
-    payload must equal the parsed snapshot.  ``significant_digits``
-    rounds every float on both sides before comparing — use it for
-    numerical corpora.  Shared by the lint and PSS golden corpora;
-    any future corpus should use this fixture rather than growing its
-    own update flag.
+    text=None, abs_tol=None)``: with ``--update-golden`` the snapshot
+    at *path* is rewritten first (from *text* when given, so a corpus
+    can keep its own rendering, else ``json.dumps(payload, indent=2)``);
+    then the payload must equal the parsed snapshot.
+    ``significant_digits`` rounds every float on both sides before
+    comparing — use it for numerical corpora.  At many digits a
+    last-bit difference between platforms can flip a rounding
+    boundary, so ``abs_tol`` (with ``significant_digits``) compares
+    instead: each float may differ from the snapshot by one unit in
+    its last digit.  ``abs_tol`` maps payload keys to absolute floors
+    for the floats beneath them, for quantities that sit at round-off
+    level (e.g. ``{"states": 1e-10}`` for node voltages); floats
+    under other keys keep the one-unit rule alone.
+    Shared by the lint, PSS and K = 1 golden corpora; any future
+    corpus should use this fixture rather than growing its own update
+    flag.
     """
 
-    def check(path, payload, *, significant_digits=None, text=None):
+    def check(path, payload, *, significant_digits=None, text=None,
+              abs_tol=None):
+        fresh = payload
         if significant_digits is not None:
             payload = _round_significant(payload, significant_digits)
         if update_golden:
@@ -80,11 +128,41 @@ def golden_json(update_golden):
         assert path.exists(), (
             f"{path.name} missing; run pytest --update-golden")
         stored = json.loads(path.read_text())
+        if abs_tol is not None:
+            problem = _golden_mismatch(fresh, stored, significant_digits,
+                                       abs_tol)
+            assert problem is None, f"{path.name}: {problem}"
+            return
         if significant_digits is not None:
             stored = _round_significant(stored, significant_digits)
         assert payload == stored
 
     return check
+
+
+@pytest.fixture
+def slow_job_gate(monkeypatch):
+    """Hold every transient job labelled ``slow`` in flight until the
+    test sets the returned event.
+
+    Daemon concurrency tests need a job that is still running when a
+    second client connects; a gate makes that certain, where a longer
+    simulation only makes it likely.  The gate opens on teardown, so a
+    failing test never leaves a worker blocked.
+    """
+    from repro.runtime import TransientJob
+
+    release = threading.Event()
+    run = TransientJob.run
+
+    def gated_run(job, seed=None):
+        if job.label == "slow" and not release.wait(60):
+            raise TimeoutError("slow_job_gate never opened")
+        return run(job, seed)
+
+    monkeypatch.setattr(TransientJob, "run", gated_run)
+    yield release
+    release.set()
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Tests for waveform measurements and result containers."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,27 @@ class TestTransientResult:
             empty.final_voltages()
         with pytest.raises(AnalysisError):
             empty.at(0.0, "a")
+
+    @pytest.mark.parametrize("rows", [5, 0])
+    def test_pickle_round_trip(self, rows):
+        """Rows travel as one array and come back as appendable rows."""
+        result = TransientResult(("a", "b"), engine="test")
+        for k in range(rows):
+            result.append(k * 1.0, np.array([k * 1.0, -k * 1.0]))
+        restored = pickle.loads(pickle.dumps(result))
+        assert np.array_equal(restored.times, result.times)
+        assert np.array_equal(restored.states, result.states)
+        assert restored.states.shape == (rows, 2)
+        restored.append(10.0, np.array([7.0, 8.0]))
+        assert restored.final_voltages() == {"a": 7.0, "b": 8.0}
+        assert len(result) == rows
+
+    def test_unpickles_row_list_state(self):
+        """Pickles that carry the row list itself still load."""
+        result = self.make()
+        restored = TransientResult.__new__(TransientResult)
+        restored.__setstate__(dict(vars(result)))
+        assert np.array_equal(restored.states, result.states)
 
     def test_summary_mentions_engine(self):
         result = self.make()

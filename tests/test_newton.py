@@ -10,7 +10,7 @@ from repro.baselines.newton import (
     scalar_newton,
 )
 from repro.circuit import Circuit
-from repro.devices import Diode, SchulmanRTD, SCHULMAN_INGAAS, nmos
+from repro.devices import Diode, nmos
 from repro.mna.assembler import MnaSystem
 from repro.perf import FlopCounter
 

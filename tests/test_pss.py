@@ -19,7 +19,10 @@ from repro.analysis.measure import crossing_times
 from repro.circuit import Circuit
 from repro.circuit.sources import Pulse, Sine
 from repro.circuits_lib import rtd_relaxation_oscillator
+from repro.devices import SchulmanRTD
+from repro.devices.mosfet import nmos
 from repro.errors import PSSError
+from repro.perf.flops import FlopCounter
 from repro.pss import PSSOptions, ShootingPSS, detect_drive_period, run_pss
 from repro.runtime import PSSJob, job_from_mapping
 
@@ -225,6 +228,74 @@ class TestAutonomousOracle:
                 orbit.peak_to_peak("out"), rel=1e-4)
             assert other.harmonic_magnitude("out", 1) == pytest.approx(
                 orbit.harmonic_magnitude("out", 1), rel=1e-4)
+
+
+# ----------------------------------------------------------------------
+# Monodromy
+# ----------------------------------------------------------------------
+
+
+def _gated_inverter() -> ShootingPSS:
+    """Driven RTD-load inverter whose MOSFET gate is an RC-filtered
+    state node, so the monodromy carries both the RTD chord and the
+    MOSFET gm/gds corrections."""
+    circuit = Circuit("rc-gated-rtd-inverter")
+    circuit.add_voltage_source("Vdd", "vdd", "0", 3.0)
+    circuit.add_voltage_source(
+        "Vin", "in", "0",
+        Pulse(0.0, 3.0, delay=0.1e-9, rise=0.1e-9, fall=0.1e-9,
+              width=0.9e-9, period=2e-9))
+    circuit.add_resistor("Rg", "in", "g", 1e3)
+    circuit.add_capacitor("Cg", "g", "0", 1e-12)
+    circuit.add_device("Xload", "vdd", "out", SchulmanRTD(), multiplicity=2.0)
+    circuit.add_mosfet("M1", "out", "g", "0",
+                       nmos(kp=2e-3, w=1.0, l=1.0, vth=1.0))
+    circuit.add_capacitor("Cout", "out", "0", 1e-12)
+    return ShootingPSS(circuit, PSSOptions(steps_per_period=80))
+
+
+def _oscillator() -> ShootingPSS:
+    circuit, info = rtd_relaxation_oscillator()
+    return ShootingPSS(circuit, PSSOptions(period_guess=info.period_guess,
+                                           steps_per_period=200))
+
+
+class TestMonodromy:
+    def _march(self, shooting, x0):
+        period = shooting._period or shooting.options.period_guess
+        return shooting._march(x0, period, 1, FlopCounter())
+
+    @pytest.mark.parametrize("build", [_gated_inverter, _oscillator])
+    def test_matches_finite_difference_of_the_period_map(self, build):
+        shooting = build()
+        x0 = shooting.system.initial_state() + 0.05
+        march = self._march(shooting, x0)
+        monodromy, _ = shooting._monodromy(march.states, march.times,
+                                           FlopCounter())
+        assert np.abs(monodromy).max() > 0.1
+        eps = 1e-6
+        for j in range(len(x0)):
+            step = np.zeros_like(x0)
+            step[j] = eps
+            column = (self._march(shooting, x0 + step).states[-1]
+                      - self._march(shooting, x0 - step).states[-1]) / (2 * eps)
+            np.testing.assert_allclose(monodromy[:, j], column,
+                                       rtol=1e-5, atol=1e-9)
+
+    def test_step_chunking_does_not_change_bits(self, monkeypatch):
+        """The step stacks are capped in size; a cap of a few steps must
+        give exactly the one-stack result."""
+        from repro.pss import engine
+
+        shooting = _gated_inverter()
+        march = self._march(shooting, shooting.system.initial_state())
+        whole, _ = shooting._monodromy(march.states, march.times,
+                                       FlopCounter())
+        n = shooting.system.size
+        monkeypatch.setattr(engine, "_STACK_BYTES", 7 * 8 * n * n)
+        chunked, _ = shooting._monodromy(march.states, march.times,
+                                         FlopCounter())
+        assert np.array_equal(whole, chunked)
 
 
 # ----------------------------------------------------------------------

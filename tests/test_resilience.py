@@ -585,11 +585,10 @@ class TestDaemonResilience:
         assert event.get("traceback")
 
     def test_drain_finishes_running_jobs_and_refuses_new_ones(
-            self, daemon_factory, capfd):
+            self, daemon_factory, capfd, slow_job_gate):
         service, thread = daemon_factory()
-        slow = {**SPEC, "label": "slow",
-                "options": {**FAST_OPTIONS, "h_max": 1e-12},
-                "t_stop": 2e-9}
+        # the gate holds the job in flight until the refusal is checked
+        slow = {**SPEC, "label": "slow"}
         outcome = {}
 
         def submit_slow():
@@ -608,6 +607,7 @@ class TestDaemonResilience:
                                 timeout=60).submit(SPEC, seed=1)
         assert refused["event"] == "failed"
         assert "draining" in refused["error"]
+        slow_job_gate.set()
         worker.join(60)
         assert outcome["event"]["event"] == "done"
         thread.join(30)

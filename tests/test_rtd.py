@@ -116,6 +116,37 @@ class TestConductances:
     def test_chord_derivative_finite_at_origin(self, rtd):
         assert math.isfinite(rtd.chord_conductance_derivative(0.0))
 
+    @pytest.mark.parametrize("v", [0.0, 1e-12, -5e-10, 0.3, 0.8, -0.5])
+    def test_chord_and_derivative_is_the_chord_law(self, rtd, v):
+        """The fused call the SWEC stepper uses returns exactly what the
+        two single-value methods return, inside chord_epsilon too."""
+        chord = rtd.chord_conductance(v)
+        assert rtd.chord_and_derivative(v) == (
+            chord, rtd.chord_conductance_derivative(v))
+        assert rtd.chord_and_derivative(v, derivative=False) == (chord, None)
+
+    def test_origin_limits_leave_the_model_fingerprint_alone(self):
+        """The origin limits are cached off the instance: its attribute
+        dict is the job-cache fingerprint of the model."""
+        rtd = SchulmanRTD()
+        before = dict(vars(rtd))
+        first = rtd.chord_and_derivative(0.0)
+        assert vars(rtd) == before
+        assert rtd.chord_and_derivative(0.0) == first
+        assert first[0] == rtd.differential_conductance(0.0)
+
+    def test_unhashable_model_still_evaluates_origin_limits(self):
+        class ComparableRTD(SchulmanRTD):
+            def __eq__(self, other):
+                return isinstance(other, SchulmanRTD) and \
+                    self.parameters == other.parameters
+
+        rtd = ComparableRTD()
+        assert rtd.chord_conductance(0.0) == \
+            SchulmanRTD().chord_conductance(0.0)
+        assert rtd.chord_conductance_derivative(0.0) == \
+            SchulmanRTD().chord_conductance_derivative(0.0)
+
 
 class TestParameters:
     def test_area_scaling_scales_current(self):

@@ -29,7 +29,7 @@ from repro.service import (
     job_kind,
     run_batch_cached,
 )
-from repro.service.store import STORE_SCHEMA, default_store_root
+from repro.service.store import default_store_root
 
 FAST_OPTIONS = {"epsilon": 0.05, "h_min": 1e-13, "h_max": 5e-11,
                 "h_initial": 1e-12}
@@ -439,10 +439,12 @@ class TestServiceDaemon:
         assert forced["cached"] is False
         assert client.status()["executed"] == 2
 
-    def test_concurrent_identical_submissions_coalesce(self, daemon):
+    def test_concurrent_identical_submissions_coalesce(self, daemon,
+                                                       slow_job_gate):
         client = ServiceClient(daemon.socket_path, timeout=60)
-        slow = {**SPEC, "t_stop": 2e-9, "label": "slow"}
+        slow = {**SPEC, "label": "slow"}
         running = threading.Event()
+        joined = threading.Event()
         box = {}
 
         def first_submission():
@@ -451,14 +453,25 @@ class TestServiceDaemon:
                 on_event=lambda e: (e.get("event") == "running"
                                     and running.set()))
 
+        def second_submission():
+            box["second"] = ServiceClient(
+                daemon.socket_path, timeout=60).submit(
+                    slow, seed=0,
+                    on_event=lambda e: e.get("coalesced") and joined.set())
+
         worker = threading.Thread(target=first_submission, daemon=True)
         worker.start()
         # the first 'running' event guarantees the in-flight slot is
-        # registered, so this second submission must coalesce onto it
+        # registered, and the gate keeps the job there, so this second
+        # submission must coalesce onto it
         assert running.wait(30)
-        second = ServiceClient(daemon.socket_path, timeout=60).submit(
-            slow, seed=0)
+        follower = threading.Thread(target=second_submission, daemon=True)
+        follower.start()
+        assert joined.wait(30)
+        slow_job_gate.set()
         worker.join(60)
+        follower.join(60)
+        second = box["second"]
         assert box["first"]["event"] == "done"
         assert second["event"] == "done" and second["cached"] is True
         status = ServiceClient(daemon.socket_path).status()
