@@ -1,0 +1,8 @@
+"""``python -m repro <command>``: the one command line (:mod:`repro.cli`)."""
+
+import sys
+
+from repro.cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -29,7 +29,12 @@ from typing import Any
 from repro.errors import LintError, NanoSimError
 from repro.lint.analyzer import lint_circuit, lint_netlist
 from repro.lint.report import Diagnostic, LintReport
-from repro.runtime.jobs import materialize_circuit
+from repro.runtime.jobs import (
+    VALIDATE_MODES,
+    as_circuit,
+    check_validate_mode,
+    materialize_circuit,
+)
 from repro.sweep.runner import SweepBatchJob
 
 __all__ = [
@@ -41,30 +46,8 @@ __all__ = [
     "lint_job",
 ]
 
-#: Legal values of every ``validate=`` knob.
-VALIDATE_MODES = ("off", "warn", "strict")
-
-
 class LintWarning(UserWarning):
     """Category of ``validate="warn"`` log messages."""
-
-
-def check_validate_mode(mode: str, error_class: type = ValueError) -> str:
-    """Validate a ``validate=`` knob value, returning it unchanged."""
-    if mode not in VALIDATE_MODES:
-        raise error_class(
-            f"validate must be one of {VALIDATE_MODES}, got {mode!r}"
-        )
-    return mode
-
-
-def _plain_circuit(built: Any) -> Any:
-    """Unwrap builders that return ``CircuitSDE``-like wrappers."""
-    from repro.circuit.netlist import Circuit
-
-    if not isinstance(built, Circuit) and hasattr(built, "circuit"):
-        return built.circuit
-    return built
 
 
 def _build_error_report(name: str, exc: Exception) -> LintReport:
@@ -124,7 +107,7 @@ def lint_job(job: Any, name: str | None = None) -> LintReport | None:
         except (NanoSimError, TypeError, ValueError) as exc:
             reports.append(_build_error_report(name, exc))
             continue
-        reports.append(lint_circuit(_plain_circuit(built), name=name))
+        reports.append(lint_circuit(as_circuit(built), name=name))
     if len(reports) == 1:
         return reports[0]
     return LintReport.merge(name, reports)
@@ -226,7 +209,7 @@ def _lint_batch_points(job: SweepBatchJob) -> list[LintReport]:
             except (NanoSimError, TypeError, ValueError) as exc:
                 report = _build_error_report(label, exc)
             else:
-                report = lint_circuit(_plain_circuit(built), name=label)
+                report = lint_circuit(as_circuit(built), name=label)
         if report.errors:
             broken.append(report)
     return broken

@@ -30,6 +30,7 @@ side-steps pickling limits of closure-carrying objects such as
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 from typing import Any, Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
@@ -90,6 +91,20 @@ def _first(value):
     if isinstance(value, tuple):
         return value[0]
     return value
+
+
+def as_circuit(built):
+    """Unwrap builders that return a ``CircuitSDE``-like object.
+
+    The noisy-RC builders return an SDE wrapping the circuit; the
+    lockstep engine and the lint gate act on the circuit itself (the
+    noise term is re-injected via ``noise=``).
+    """
+    from repro.circuit.netlist import Circuit
+
+    if not isinstance(built, Circuit) and hasattr(built, "circuit"):
+        return built.circuit
+    return built
 
 
 def materialize_circuit(circuit, builder, netlist, params):
@@ -161,12 +176,22 @@ def _swec_options(mapping: Mapping[str, Any]):
     return SwecOptions(step=StepControlOptions(**step_kwargs), **engine_kwargs)
 
 
-def _check_validate(mode: str) -> None:
-    """Reject bad ``validate=`` values at construction time."""
-    if mode not in ("off", "warn", "strict"):
-        raise AnalysisError(
-            f"validate must be 'off', 'warn' or 'strict', got {mode!r}"
-        )
+def _one_of(names: Sequence[str]) -> str:
+    """``'a', 'b' or 'c'`` for error messages."""
+    quoted = [repr(name) for name in names]
+    return f"{', '.join(quoted[:-1])} or {quoted[-1]}"
+
+
+#: Legal values of every ``validate=`` knob: runtime jobs, sweep specs,
+#: the lint gate (:mod:`repro.lint.gate`) and the CLI.
+VALIDATE_MODES = ("off", "warn", "strict")
+
+
+def check_validate_mode(mode: str, error_class: type = AnalysisError) -> str:
+    """Reject a bad ``validate=`` value with *error_class*; return it."""
+    if mode not in VALIDATE_MODES:
+        raise error_class(f"validate must be {_one_of(VALIDATE_MODES)}, got {mode!r}")
+    return mode
 
 
 def _enforce_validate(job) -> None:
@@ -250,7 +275,7 @@ class TransientJob:
             raise AnalysisError(
                 f"backend= applies to the swec engine only, not {self.engine!r}"
             )
-        _check_validate(self.validate)
+        check_validate_mode(self.validate)
 
     def build_circuit(self):
         """Materialize the circuit this job simulates."""
@@ -321,7 +346,7 @@ class ACJob:
             raise AnalysisError(
                 "ACJob needs exactly one of circuit=, builder= or netlist="
             )
-        _check_validate(self.validate)
+        check_validate_mode(self.validate)
 
     def build_circuit(self):
         """Materialize the circuit this job analyses."""
@@ -561,8 +586,7 @@ class EnsembleTransientJob:
     validate: str = "off"
 
     def __post_init__(self) -> None:
-        _check_validate(self.validate)
-        self._check_vr()
+        check_validate_mode(self.validate)
         given = sum(
             source is not None
             for source in (self.circuit, self.builder, self.netlist)
@@ -593,6 +617,7 @@ class EnsembleTransientJob:
             )
         elif self.n_instances < 1:
             raise AnalysisError(f"n_instances must be >= 1, got {self.n_instances!r}")
+        self._check_vr()
         if self.noise is not None and self.steps is None:
             raise AnalysisError("noise ensembles need steps= (a fixed shared grid)")
         if self.steps is not None and self.steps < 1:
@@ -652,20 +677,6 @@ class EnsembleTransientJob:
             return len(self.variations)
         return int(self.n_instances)
 
-    @staticmethod
-    def _as_circuit(built):
-        """Unwrap builders that return a CircuitSDE-like object.
-
-        The noisy-RC builders return an SDE wrapping the circuit; the
-        lockstep engine integrates the circuit itself (the noise term
-        is re-injected via ``noise=``).
-        """
-        from repro.circuit.netlist import Circuit
-
-        if not isinstance(built, Circuit) and hasattr(built, "circuit"):
-            return built.circuit
-        return built
-
     def build_circuits(self) -> list:
         """Materialize the K circuit instances."""
         if self.variations is not None:
@@ -673,12 +684,12 @@ class EnsembleTransientJob:
             for overrides in self.variations:
                 params = {**self.params, **overrides}
                 built = materialize_circuit(None, self.builder, self.netlist, params)
-                circuits.append(self._as_circuit(built))
+                circuits.append(as_circuit(built))
             return circuits
         built = materialize_circuit(
             self.circuit, self.builder, self.netlist, self.params
         )
-        return [self._as_circuit(built)] * self.size
+        return [as_circuit(built)] * self.size
 
     def _noise_pairs(self):
         if self.noise is None:
@@ -701,11 +712,11 @@ class EnsembleTransientJob:
         if self._vr_adaptive:
             from repro.stochastic.vr import run_circuit_ensemble_vr
 
-            circuit = self._as_circuit(
-                materialize_circuit(self.circuit, self.builder, self.netlist, self.params)
+            built = materialize_circuit(
+                self.circuit, self.builder, self.netlist, self.params
             )
             return run_circuit_ensemble_vr(
-                circuit,
+                as_circuit(built),
                 noise,
                 self.t_stop,
                 self.steps,
@@ -795,7 +806,7 @@ class PSSJob:
             raise AnalysisError(
                 "PSSJob needs exactly one of circuit=, builder= or netlist="
             )
-        _check_validate(self.validate)
+        check_validate_mode(self.validate)
 
     def build_circuit(self):
         """Materialize the circuit this job analyses."""
@@ -825,33 +836,118 @@ class PSSJob:
         return ShootingPSS(self.build_circuit(), options).run()
 
 
+#: Spec-file ``type=`` tag -> job class, keyed by each class's ``kind``.
+JOB_KINDS: dict[str, type] = {
+    job_class.kind: job_class
+    for job_class in (TransientJob, EnsembleJob, ACJob, EnsembleTransientJob, PSSJob)
+}
+
+
 def job_from_mapping(
     spec: Mapping[str, Any],
 ) -> "TransientJob | EnsembleJob | ACJob | EnsembleTransientJob | PSSJob":
-    """Build a job from one deserialized job-spec table (CLI path)."""
+    """Build a job from one deserialized job-spec table (CLI path).
+
+    ``type`` selects the :data:`JOB_KINDS` entry (default
+    ``"transient"``).  A string ``circuit=`` (``sde=`` for
+    ``ensemble`` jobs) names a builder; ``netlist`` passes through as
+    source text.
+    """
     spec = dict(spec)
     kind = spec.pop("type", "transient")
-    if kind in ("transient", "ac", "ensemble_transient", "pss"):
-        circuit = spec.pop("circuit", None)
-        if isinstance(circuit, str):
-            spec["builder"] = circuit
-        elif circuit is not None:
-            spec["circuit"] = circuit
-        job_class = {
-            "transient": TransientJob,
-            "ac": ACJob,
-            "ensemble_transient": EnsembleTransientJob,
-            "pss": PSSJob,
-        }[kind]
-        return job_class(**spec)  # "netlist" passes through as text
-    if kind == "ensemble":
-        sde = spec.pop("sde", None)
-        if isinstance(sde, str):
-            spec["builder"] = sde
-        elif sde is not None:
-            spec["sde"] = sde
-        return EnsembleJob(**spec)
-    raise AnalysisError(
-        f"unknown job type {kind!r} (expected 'transient', 'ensemble', "
-        f"'ac', 'ensemble_transient' or 'pss')"
-    )
+    job_class = JOB_KINDS.get(kind)
+    if job_class is None:
+        raise AnalysisError(
+            f"unknown job type {kind!r} (expected {_one_of(list(JOB_KINDS))})"
+        )
+    source = "sde" if job_class is EnsembleJob else "circuit"
+    value = spec.pop(source, None)
+    if isinstance(value, str):
+        spec["builder"] = value
+    elif value is not None:
+        spec[source] = value
+    return job_class(**spec)
+
+
+def load_spec(
+    path: str | Path, error_class: type = AnalysisError, what: str = "job"
+) -> dict:
+    """Parse a ``.toml`` or ``.json`` spec file into a dict.
+
+    A missing file, a TOML file on Python 3.10 (no :mod:`tomllib`) or
+    a document that is not a table raises *error_class* naming the
+    *what*-spec; malformed content raises the decoder's ``ValueError``.  Sweep specs
+    (:func:`repro.sweep.load_sweep_spec`) share this reader.  The
+    job-spec schema read by ``repro batch`` and ``repro service
+    submit``::
+
+        [batch]                # all keys optional
+        workers = 4
+        executor = "process"   # process | thread | serial
+        seed = 42
+        timeout = 120.0        # per-job wall-clock limit (seconds)
+        retries = 2            # extra attempts for transient failures
+
+        [[jobs]]
+        type = "transient"     # default
+        label = "inverter"
+        circuit = "fet_rtd_inverter"   # repro.circuits_lib builder name
+        t_stop = 1e-8
+        engine = "swec"                # swec | spice | mla | aces
+        backend = "auto"               # SWEC solver backend: dense |
+                                       # sparse | stack | auto
+        [jobs.params]                  # builder keyword arguments
+        [jobs.options]                 # flat engine + step-control options
+        epsilon = 0.05
+        h_max = 2e-10
+
+        [[jobs]]
+        type = "ensemble"
+        label = "noise-band"
+        sde = "noisy_rc_node"          # SDE builder name
+        t_final = 5e-9
+        steps = 2000
+        n_paths = 400
+
+        [[jobs]]
+        type = "ensemble_transient"    # K instances per batched solve
+        label = "inverter-corners"
+        circuit = "fet_rtd_inverter"
+        t_stop = 2e-8
+        steps = 400                    # fixed grid (required with noise)
+        node = "out"                   # reduce to EnsembleStatistics
+        variations = [                 # and/or n_instances = K
+            { load_capacitance = 0.5e-12 },
+            { load_capacitance = 2e-12 },
+        ]
+
+    Each ``[[jobs]]`` table becomes a job through
+    :func:`job_from_mapping`.  Noisy ensemble jobs accept the
+    variance-reduction knobs of :mod:`repro.stochastic.vr` —
+    ``antithetic``, ``target_ci``, ``target_rel_ci``, ``max_trials``,
+    ``batch_size`` and (for ``ensemble_transient``) ``control_variate``
+    — either as job keys or as the ``repro batch`` overrides
+    ``--antithetic``/``--control-variate``/``--target-ci``/
+    ``--target-rel-ci``/``--max-trials``, which apply to every ensemble
+    job in the spec.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise error_class(f"{what}-spec file not found: {path}")
+    if path.suffix.lower() == ".json":
+        import json
+
+        document = json.loads(path.read_text())
+    else:
+        try:
+            import tomllib
+        except ImportError:  # Python 3.10: TOML needs 3.11+, JSON always works
+            raise error_class(
+                f"TOML {what} specs need Python 3.11+ (tomllib); "
+                "use a .json spec on older interpreters"
+            ) from None
+        with open(path, "rb") as handle:
+            document = tomllib.load(handle)
+    if not isinstance(document, dict):
+        raise error_class(f"{what} spec must be a table/object, got {type(document)}")
+    return document

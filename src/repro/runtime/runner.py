@@ -224,6 +224,40 @@ class BatchRunner:
         self.retry_policy = RetryPolicy.resolve(retries)
         self.fault_plan = fault_plan
 
+    @classmethod
+    def from_table(
+        cls,
+        batch,
+        *,
+        workers: int | None = None,
+        executor: str | None = None,
+        seed: int | None = None,
+        timeout: float | None = None,
+        retries=None,
+        fault_plan=None,
+    ) -> "BatchRunner":
+        """Build a runner from a spec's ``[batch]`` table plus overrides.
+
+        Each keyword that is not None wins over its ``[batch]`` key
+        (``workers``, ``executor``, ``seed``, ``timeout``,
+        ``retries``).  Unset, ``executor`` falls back to ``"process"``
+        and ``seed`` to 0, so spec files replay identically by default.
+        """
+        if not isinstance(batch, dict):
+            raise AnalysisError(f"[batch] must be a table, got {batch!r}")
+
+        def pick(value, key, default=None):
+            return value if value is not None else batch.get(key, default)
+
+        return cls(
+            max_workers=pick(workers, "workers"),
+            executor=pick(executor, "executor", "process"),
+            seed=pick(seed, "seed", 0),
+            timeout=pick(timeout, "timeout"),
+            retries=pick(retries, "retries"),
+            fault_plan=fault_plan,
+        )
+
     # ------------------------------------------------------------------
 
     def run(self, jobs, seeds=None, on_result=None) -> BatchReport:

@@ -329,7 +329,11 @@ def run_circuit_ensemble_parallel(
     statistics.
     """
     from repro.runtime import BatchRunner
-    from repro.runtime.jobs import EnsembleTransientJob, materialize_circuit
+    from repro.runtime.jobs import (
+        EnsembleTransientJob,
+        as_circuit,
+        materialize_circuit,
+    )
 
     if not 0.0 < confidence < 1.0:
         raise AnalysisError(f"confidence must be in (0, 1), got {confidence!r}")
@@ -346,7 +350,7 @@ def run_circuit_ensemble_parallel(
         from repro.stochastic.vr import run_circuit_ensemble_vr
 
         built = materialize_circuit(None, builder, None, dict(params or {}))
-        circuit = EnsembleTransientJob._as_circuit(built)
+        circuit = as_circuit(built)
         return run_circuit_ensemble_vr(
             circuit,
             noise,

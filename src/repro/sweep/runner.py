@@ -28,9 +28,9 @@ import time
 from dataclasses import dataclass, field, replace
 
 from repro.runtime.jobs import (
+    JOB_KINDS,
     ACJob,
     EnsembleJob,
-    PSSJob,
     TransientJob,
     _swec_options,
     materialize_circuit,
@@ -174,24 +174,19 @@ def build_jobs(spec: SweepSpec) -> list[SweepPointJob]:
         params = dict(point)
         if spec.template is not None:
             params = spec.template_info().coerce(params)
-        if spec.kind in ("transient", "ac", "pss"):
-            job_class = {"transient": TransientJob, "ac": ACJob,
-                         "pss": PSSJob}[spec.kind]
-            settings = dict(spec.settings)
-            if (spec.kind == "ac" and spec.template is not None
-                    and "source" not in settings
-                    and spec.template_info().ac_source is not None):
-                settings["source"] = spec.template_info().ac_source
-            if spec.template is not None:
-                inner = job_class(builder=spec.template, params=params,
-                                  label=label, **settings)
-            else:
-                inner = job_class(netlist=spec.netlist_text,
-                                  params=params, label=label, **settings)
+        job_class = JOB_KINDS[spec.kind]
+        settings = dict(spec.settings)
+        if (spec.kind == "ac" and spec.template is not None
+                and "source" not in settings
+                and spec.template_info().ac_source is not None):
+            settings["source"] = spec.template_info().ac_source
+        # SweepSpec validation guarantees a template for ensembles.
+        if spec.template is not None:
+            inner = job_class(builder=spec.template, params=params,
+                              label=label, **settings)
         else:
-            # SweepSpec validation guarantees an SDE template here.
-            inner = EnsembleJob(builder=spec.template, params=params,
-                                label=label, **spec.settings)
+            inner = job_class(netlist=spec.netlist_text,
+                              params=params, label=label, **settings)
         jobs.append(SweepPointJob(inner=inner, measures=measures,
                                   point=point, label=label))
     return jobs
@@ -445,21 +440,11 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None,
                 "backend= applies to transient, AC and PSS sweeps only")
         spec = replace(spec, settings={**spec.settings,
                                        "backend": backend})
-    batch_settings = spec.batch
-    runner = BatchRunner(
-        max_workers=(max_workers if max_workers is not None
-                     else batch_settings.get("workers")),
-        executor=(executor if executor is not None
-                  else batch_settings.get("executor", "process")),
-        seed=seed if seed is not None else batch_settings.get("seed", 0),
-        timeout=(timeout if timeout is not None
-                 else batch_settings.get("timeout")),
-        retries=(retries if retries is not None
-                 else batch_settings.get("retries")),
-        fault_plan=fault_plan,
-    )
+    runner = BatchRunner.from_table(
+        spec.batch, workers=max_workers, executor=executor, seed=seed,
+        timeout=timeout, retries=retries, fault_plan=fault_plan)
     if isolate is None:
-        isolate = bool(batch_settings.get("isolate", False))
+        isolate = bool(spec.batch.get("isolate", False))
     if cache is None and resume is not None and resume is not False:
         cache = resume
     if vector is None:

@@ -16,7 +16,6 @@ template parameters and unknown measures raise
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Mapping
@@ -25,26 +24,16 @@ import numpy as np
 
 from repro.circuits_lib.templates import CircuitTemplate, get_template
 from repro.errors import SweepSpecError
+from repro.runtime.jobs import JOB_KINDS, check_validate_mode, load_spec
 from repro.sweep.measures import MeasureSpec, measures_from_spec
 
-try:
-    import tomllib
-except ImportError:  # Python 3.10: TOML needs 3.11+, JSON always works
-    tomllib = None
-
 _MODES = ("product", "zip")
-_KINDS = ("transient", "ensemble", "ac", "pss")
+#: Job kinds a sweep point can be (lockstep ensembles are not).
+_KINDS = tuple(kind for kind in JOB_KINDS if kind != "ensemble_transient")
 
 #: Job fields owned by the sweep runner, not the spec's settings table.
 _RUNNER_OWNED = frozenset(
     {"circuit", "builder", "netlist", "sde", "params", "label"})
-
-
-def _job_class(kind: str):
-    from repro.runtime.jobs import ACJob, EnsembleJob, PSSJob, TransientJob
-
-    return {"transient": TransientJob, "ensemble": EnsembleJob,
-            "ac": ACJob, "pss": PSSJob}[kind]
 
 
 def _check_settings(kind: str, settings: Mapping[str, Any]) -> None:
@@ -53,7 +42,7 @@ def _check_settings(kind: str, settings: Mapping[str, Any]) -> None:
     Without this, a typo'd key (``tstop``) would pass spec validation
     and surface later as a ``TypeError`` inside ``build_jobs``.
     """
-    job_fields = [f for f in fields(_job_class(kind))
+    job_fields = [f for f in fields(JOB_KINDS[kind])
                   if f.name not in _RUNNER_OWNED]
     allowed = {f.name for f in job_fields}
     unknown = set(settings) - allowed
@@ -181,10 +170,7 @@ class SweepSpec:
     validate: str = "off"
 
     def __post_init__(self) -> None:
-        if self.validate not in ("off", "warn", "strict"):
-            raise SweepSpecError(
-                f"validate must be 'off', 'warn' or 'strict', "
-                f"got {self.validate!r}")
+        check_validate_mode(self.validate, SweepSpecError)
         if (self.template is None) == (self.netlist_text is None):
             raise SweepSpecError(
                 "sweep needs exactly one of template= or netlist")
@@ -407,18 +393,5 @@ class SweepSpec:
 def load_sweep_spec(path: str | Path) -> SweepSpec:
     """Load and validate a ``.toml`` or ``.json`` sweep-spec file."""
     path = Path(path)
-    if not path.exists():
-        raise SweepSpecError(f"sweep-spec file not found: {path}")
-    if path.suffix.lower() == ".json":
-        document = json.loads(path.read_text())
-    elif tomllib is None:
-        raise SweepSpecError(
-            "TOML sweep specs need Python 3.11+ (tomllib); "
-            "use a .json spec on older interpreters")
-    else:
-        with open(path, "rb") as handle:
-            document = tomllib.load(handle)
-    if not isinstance(document, dict):
-        raise SweepSpecError(
-            f"sweep spec must be a table/object, got {type(document)}")
+    document = load_spec(path, SweepSpecError, "sweep")
     return SweepSpec.from_mapping(document, base_dir=path.parent)

@@ -454,12 +454,12 @@ class TestACSweep:
 
 class TestACCli:
     def test_netlist_bode_and_noise(self, tmp_path, capsys):
-        from repro.ac.cli import main
+        from repro.cli import main
 
         netlist = tmp_path / "lp.cir"
         netlist.write_text(NETLIST)
         csv_path = tmp_path / "bode.csv"
-        status = main([str(netlist), "--start", "1e2", "--stop", "1e9",
+        status = main(["ac", str(netlist), "--start", "1e2", "--stop", "1e9",
                        "--points", "40", "--noise",
                        "--csv", str(csv_path)])
         captured = capsys.readouterr()
@@ -472,9 +472,9 @@ class TestACCli:
         assert "out_mag_db" in header
 
     def test_template_uses_registered_ac_source(self, capsys):
-        from repro.ac.cli import main
+        from repro.cli import main
 
-        status = main(["--template", "fet_rtd_inverter",
+        status = main(["ac", "--template", "fet_rtd_inverter",
                        "--bias", "Vin=2.0", "--start", "1e3",
                        "--stop", "1e10", "--points", "30"])
         captured = capsys.readouterr()
@@ -482,21 +482,21 @@ class TestACCli:
         assert "V(out)/Vin" in captured.out
 
     def test_config_errors_exit_2(self, tmp_path, capsys):
-        from repro.ac.cli import main
+        from repro.cli import main
 
         missing = tmp_path / "nope.cir"
-        assert main([str(missing)]) == 2
+        assert main(["ac", str(missing)]) == 2
         netlist = tmp_path / "lp.cir"
         netlist.write_text(NETLIST)
-        assert main([str(netlist), "--start", "1e6",
+        assert main(["ac", str(netlist), "--start", "1e6",
                      "--stop", "1e3"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_requires_exactly_one_circuit(self, capsys):
-        from repro.ac.cli import main
+        from repro.cli import main
 
         with pytest.raises(SystemExit):
-            main([])
+            main(["ac"])
         capsys.readouterr()
 
 

@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.circuit import Circuit
+from repro.cli import main
 from repro.devices import SchulmanRTD
 from repro.lint import (
     CHECKS,
@@ -24,7 +25,6 @@ from repro.lint import (
     lint_netlist,
     register_check,
 )
-from repro.lint.cli import main as lint_main
 from repro.lint.report import REPORT_SCHEMA
 
 
@@ -245,16 +245,16 @@ class TestCli:
         return str(path)
 
     def test_clean_file_exits_zero(self, tmp_path, capsys):
-        assert lint_main([self._write(tmp_path, "ok.cir", CLEAN)]) == 0
+        assert main(["lint", self._write(tmp_path, "ok.cir", CLEAN)]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_broken_file_exits_one(self, tmp_path, capsys):
-        assert lint_main([self._write(tmp_path, "bad.cir", BROKEN)]) == 1
+        assert main(["lint", self._write(tmp_path, "bad.cir", BROKEN)]) == 1
         assert "open-circuit" in capsys.readouterr().out
 
     def test_json_output_is_valid_and_tagged(self, tmp_path, capsys):
         path = self._write(tmp_path, "bad.cir", BROKEN)
-        assert lint_main([path, "--json"]) == 1
+        assert main(["lint", path, "--json"]) == 1
         reports = json.loads(capsys.readouterr().out)
         assert len(reports) == 1
         assert reports[0]["schema"] == REPORT_SCHEMA
@@ -263,37 +263,41 @@ class TestCli:
 
     def test_fail_on_widens_the_gate(self, tmp_path, capsys):
         path = self._write(tmp_path, "warn.cir", WARN_ONLY)
-        assert lint_main([path]) == 0
-        assert lint_main([path, "--fail-on", "warning"]) == 1
+        assert main(["lint", path]) == 0
+        assert main(["lint", path, "--fail-on", "warning"]) == 1
         capsys.readouterr()
 
     def test_multiple_files_worst_wins(self, tmp_path, capsys):
         good = self._write(tmp_path, "ok.cir", CLEAN)
         bad = self._write(tmp_path, "bad.cir", BROKEN)
-        assert lint_main([good, bad]) == 1
+        assert main(["lint", good, bad]) == 1
         capsys.readouterr()
 
     def test_unreadable_file_exits_two(self, tmp_path, capsys):
-        assert lint_main([str(tmp_path / "missing.cir")]) == 2
+        assert main(["lint", str(tmp_path / "missing.cir")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
     def test_param_override(self, tmp_path, capsys):
         family = ("* t\n.PARAM rser=10\nV1 in 0 DC 1\n"
                   "R1 in out {rser}\nR2 out 0 1k\n")
         path = self._write(tmp_path, "family.cir", family)
-        assert lint_main([path]) == 0
-        assert lint_main([path, "--param", "rser=0"]) == 1
+        assert main(["lint", path]) == 0
+        assert main(["lint", path, "--param", "rser=0"]) == 1
         capsys.readouterr()
 
-    def test_bad_param_is_a_usage_error(self, tmp_path):
+    def test_bad_param_is_a_usage_error(self, tmp_path, capsys):
+        # Exit 2 (usage), never 1, which means "lint found errors".
         path = self._write(tmp_path, "ok.cir", CLEAN)
-        with pytest.raises(SystemExit):
-            lint_main([path, "--param", "nonsense"])
-        with pytest.raises(SystemExit):
-            lint_main([path, "--param", "r=abc"])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", path, "--param", "nonsense"])
+        assert excinfo.value.code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", path, "--param", "r=abc"])
+        assert excinfo.value.code == 2
+        assert "non-numeric value" in capsys.readouterr().err
 
     def test_list_checks(self, capsys):
-        assert lint_main(["--list-checks"]) == 0
+        assert main(["lint", "--list-checks"]) == 0
         out = capsys.readouterr().out
         for check_id in ("floating-node", "open-circuit", "parse-error",
                          "duplicate-element"):

@@ -293,6 +293,11 @@ def test_ensemble_transient_job_vr_validation():
             builder="fet_rtd_inverter", t_stop=1e-9, steps=10,
             variations=[{}, {}], noise={"out": 1e-9}, antithetic=True,
         )
+    with pytest.raises(AnalysisError, match="n_instances="):
+        EnsembleTransientJob(
+            builder="noisy_rc_node", t_stop=1e-9, steps=10,
+            noise=[("n1", 1e-8)], antithetic=True,
+        )
 
 
 def test_ensemble_transient_job_adaptive_run_and_fingerprint():

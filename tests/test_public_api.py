@@ -52,6 +52,7 @@ MODULES = PACKAGES + [
     "repro.circuits_lib.logic_gates",
     "repro.circuits_lib.noisy_rc",
     "repro.circuits_lib.templates",
+    "repro.cli",
     "repro.constants",
     "repro.devices.base",
     "repro.devices.diode",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import Circuit, Pulse
+from repro.cli import main
 from repro.errors import AnalysisError
 from repro.runtime import (
     BatchRunner,
@@ -13,7 +14,7 @@ from repro.runtime import (
     TransientJob,
     job_from_mapping,
 )
-from repro.runtime.cli import load_spec, main
+from repro.runtime.jobs import load_spec
 from repro.stochastic import run_ensemble_parallel, run_ensembles
 from repro.swec import SwecOptions, SwecTransient
 from repro.swec.timestep import StepControlOptions
@@ -252,7 +253,7 @@ class TestCli:
 
     def test_json_spec_runs(self, tmp_path, capsys):
         path = self._write_spec(tmp_path, self._spec_payload())
-        assert main([path]) == 0
+        assert main(["batch", path]) == 0
         out = capsys.readouterr().out
         assert "2 jobs, 2 ok, 0 failed" in out
         assert "divider" in out and "noise" in out
@@ -269,41 +270,41 @@ class TestCli:
         path = tmp_path / "jobs.toml"
         path.write_text(toml_text)
         assert tomllib.loads(toml_text)  # sanity: valid TOML
-        assert main([str(path)]) == 0
+        assert main(["batch", str(path)]) == 0
         assert "1 ok" in capsys.readouterr().out
 
     def test_failing_job_sets_exit_code(self, tmp_path, capsys):
         payload = self._spec_payload()
         payload["jobs"][0]["t_stop"] = -1.0
         path = self._write_spec(tmp_path, payload)
-        assert main([path]) == 1
+        assert main(["batch", path]) == 1
         captured = capsys.readouterr()
         assert "1 failed" in captured.out
         assert "Traceback" in captured.err
 
     def test_missing_spec_file(self, tmp_path, capsys):
-        assert main([str(tmp_path / "absent.json")]) == 2
+        assert main(["batch", str(tmp_path / "absent.json")]) == 2
         assert "not found" in capsys.readouterr().err
 
     def test_empty_spec_rejected(self, tmp_path, capsys):
         path = self._write_spec(tmp_path, {"jobs": []})
-        assert main([path]) == 2
+        assert main(["batch", path]) == 2
         assert "no [[jobs]]" in capsys.readouterr().err
 
     def test_invalid_batch_config_is_a_clean_error(self, tmp_path, capsys):
         payload = self._spec_payload()
         payload["batch"]["workers"] = 0
         path = self._write_spec(tmp_path, payload)
-        assert main([path]) == 2
+        assert main(["batch", path]) == 2
         assert "max_workers" in capsys.readouterr().err
         payload["batch"] = "not-a-table"
         path = self._write_spec(tmp_path, payload, name="jobs2.json")
-        assert main([path]) == 2
+        assert main(["batch", path]) == 2
         assert "[batch] must be a table" in capsys.readouterr().err
 
     def test_cli_flags_override_batch_table(self, tmp_path, capsys):
         path = self._write_spec(tmp_path, self._spec_payload())
-        assert main([path, "--executor", "serial", "--workers", "1",
+        assert main(["batch", path, "--executor", "serial", "--workers", "1",
                      "--seed", "7"]) == 0
         assert "seed=7" in capsys.readouterr().out
 
@@ -319,12 +320,15 @@ class TestCli:
         pytest.importorskip("tomllib")
         path = tmp_path / "jobs.toml"
         path.write_text("not = [valid")
-        assert main([str(path)]) == 2
+        assert main(["batch", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
         bad_json = tmp_path / "jobs.json"
         bad_json.write_text("{not json")
-        assert main([str(bad_json)]) == 2
+        assert main(["batch", str(bad_json)]) == 2
         assert "error:" in capsys.readouterr().err
+        bad_json.write_text("[]")
+        assert main(["batch", str(bad_json)]) == 2
+        assert "job spec must be a table" in capsys.readouterr().err
 
 
 class TestRunnerValidation:

@@ -503,7 +503,7 @@ class TestServiceDaemon:
 
 class TestCacheCLI:
     def test_runtime_cli_cache_flag(self, tmp_path, capsys):
-        from repro.runtime.cli import main
+        from repro.cli import main
 
         spec = tmp_path / "jobs.json"
         spec.write_text(json.dumps({
@@ -511,30 +511,31 @@ class TestCacheCLI:
             "jobs": [SPEC],
         }))
         store = tmp_path / "store"
-        assert main([str(spec), "--cache", str(store)]) == 0
+        assert main(["batch", str(spec), "--cache", str(store)]) == 0
         cold_out = capsys.readouterr().out
         assert "cached" not in cold_out
-        assert main([str(spec), "--cache", str(store)]) == 0
+        assert main(["batch", str(spec), "--cache", str(store)]) == 0
         warm_out = capsys.readouterr().out
         assert "ok (cached)" in warm_out
         assert "1 cached" in warm_out
 
     def test_service_cli_gc(self, tmp_path, capsys):
-        from repro.service.cli import main
+        from repro.cli import main
 
         store = ResultStore(tmp_path / "store")
         store.put("ab" + "0" * 62, 1)
-        assert main(["gc", "--store", str(store.root),
+        assert main(["service", "gc", "--store", str(store.root),
                      "--max-entries", "0"]) == 0
         assert "removed 1" in capsys.readouterr().out
         assert len(store) == 0
 
     def test_service_cli_submit_without_daemon_errors(self, tmp_path,
                                                       capsys):
-        from repro.service.cli import main
+        from repro.cli import main
 
         spec = tmp_path / "jobs.json"
         spec.write_text(json.dumps({"jobs": [SPEC]}))
         missing = tmp_path / "no-daemon.sock"
-        assert main(["submit", str(spec), "--socket", str(missing)]) == 2
+        assert main(["service", "submit", str(spec),
+                     "--socket", str(missing)]) == 2
         assert "cannot reach daemon" in capsys.readouterr().err

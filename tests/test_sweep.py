@@ -13,7 +13,7 @@ from repro.sweep import (
     load_sweep_spec,
     run_sweep,
 )
-from repro.sweep.cli import main
+from repro.cli import main
 from repro.sweep.measures import MeasureSpec
 
 FAST_OPTIONS = {"epsilon": 0.05, "h_min": 1e-13, "h_max": 5e-11,
@@ -367,7 +367,7 @@ class TestSweepCli:
     def test_cli_runs_spec_and_exports(self, tmp_path, capsys):
         spec_path = self._write_spec(tmp_path)
         csv_path = tmp_path / "out.csv"
-        code = main([str(spec_path), "--executor", "serial",
+        code = main(["sweep", str(spec_path), "--executor", "serial",
                      "--csv", str(csv_path)])
         assert code == 0
         assert csv_path.exists()
@@ -376,14 +376,14 @@ class TestSweepCli:
     def test_cli_rejects_bad_spec(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"sweep": {"t_stop": 1.0}}))
-        assert main([str(path)]) == 2
+        assert main(["sweep", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_cli_rejects_missing_file(self, capsys):
-        assert main(["/nonexistent/spec.toml"]) == 2
+        assert main(["sweep", "/nonexistent/spec.toml"]) == 2
 
     def test_cli_list_templates(self, capsys):
-        assert main(["--list-templates"]) == 0
+        assert main(["sweep", "--list-templates"]) == 0
         out = capsys.readouterr().out
         assert "rtd_divider" in out and "sweepable" in out
 
